@@ -13,12 +13,18 @@ or queue capacity shrinks the server steps down the ladder:
 
 The analytic tier needs no backend at all, which is also what keeps the
 server answering when every replica's circuit breaker is open.
+
+A simulated launch is deterministic unless a fault plan is armed, so the
+two simulator tiers memoize their reports per (workload fingerprint,
+kernel, tier, accelerator config): a repeated workload is simulated once
+and every later request shares that report.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro import obs
 from repro.sim.config import TensaurusConfig
 from repro.sim.perfmodel import FastModel
 from repro.sim.report import SimReport
@@ -31,6 +37,10 @@ TIER_ANALYTIC = "analytic"
 
 #: Tiers in decreasing-fidelity order (the ladder).
 TIERS = (TIER_FULL, TIER_BATCHED, TIER_ANALYTIC)
+
+#: Counter of simulator-tier memo lookups, labelled ``outcome``: ``hit``,
+#: ``miss`` or ``bypass`` (the accelerator's fault plan is armed).
+MEMO_METRIC = "serving.ladder.memo"
 
 
 def calibrate_analytic_error(
@@ -74,9 +84,21 @@ class DegradationLadder:
     """Executes a workload at a chosen fidelity tier.
 
     Holds the shared :class:`FastModel` (the analytic tier is host-side
-    and backend-free) and the calibrated analytic error bound. The
-    ``accelerator`` argument of :meth:`execute` is only consulted for
-    the two simulator tiers.
+    and backend-free), the calibrated analytic error bound and the memo
+    of simulator-tier reports. The ``accelerator`` argument of
+    :meth:`execute` is only consulted for the two simulator tiers.
+
+    The memo key is ``(item.fingerprint, kernel, tier, repr(config))``:
+    the workload fingerprint is content-derived and computed once per
+    item, and the config's repr only when the accelerator's config object
+    differs from the previous call's (every replica of a fleet shares
+    one), never per call. The memo holds one report per distinct key of
+    the pools it has served, so a ladder shared across many fleets over
+    one pool stays bounded. It is
+    bypassed whenever the accelerator's fault plan is armed: those runs
+    draw their faults live and advance the accelerator's run counter.
+    Memoized reports are shared between responses; their ``output``
+    arrays are read-only so one caller cannot corrupt another's answer.
     """
 
     def __init__(
@@ -87,6 +109,28 @@ class DegradationLadder:
         self.sim_config = sim_config or TensaurusConfig()
         self.fast = FastModel(self.sim_config)
         self.analytic_error_bound = float(analytic_error_bound)
+        self._memo: Dict[Tuple[str, str, str, str], SimReport] = {}
+        # One-entry caches: the config every replica of a fleet shares,
+        # and the memo counter of the active metrics registry.
+        self._config = self.sim_config
+        self._config_key = repr(self.sim_config)
+        self._registry = None
+        self._memo_counter = None
+
+    @property
+    def memo_size(self) -> int:
+        """Number of simulator-tier reports currently memoized."""
+        return len(self._memo)
+
+    def _count(self, outcome: str) -> None:
+        registry = obs.metrics()
+        if registry is not self._registry:
+            self._registry = registry
+            self._memo_counter = registry.counter(
+                MEMO_METRIC, "simulator-tier report memo lookups",
+                ("outcome",),
+            )
+        self._memo_counter.labels(outcome=outcome).inc()
 
     def execute(
         self, tier: str, item, kernel: str, accelerator=None
@@ -95,24 +139,46 @@ class DegradationLadder:
 
         Returns ``(report, degraded, error_bound)``. Simulator tiers may
         raise :class:`repro.util.errors.FaultError` (the caller's breaker
-        handles that); the analytic tier cannot fault.
+        handles that); the analytic tier cannot fault. A memo hit returns
+        the shared report of the first run: no launch happens, so it
+        emits no ``sim.*`` metrics or sim-track trace events.
         """
-        if tier == TIER_FULL:
-            if accelerator is None:
-                raise ConfigError("full tier requires an accelerator")
-            return item.run(kernel, accelerator, compute_output=True), False, 0.0
-        if tier == TIER_BATCHED:
-            if accelerator is None:
-                raise ConfigError("batched tier requires an accelerator")
-            # Timing-exact but no numeric output: degraded, zero error.
-            return item.run(kernel, accelerator, compute_output=False), True, 0.0
         if tier == TIER_ANALYTIC:
             return (
                 item.analytic(kernel, self.fast),
                 True,
                 self.analytic_error_bound,
             )
-        raise ConfigError(f"unknown degradation tier {tier!r}")
+        if tier != TIER_FULL and tier != TIER_BATCHED:
+            raise ConfigError(f"unknown degradation tier {tier!r}")
+        if accelerator is None:
+            raise ConfigError(f"{tier} tier requires an accelerator")
+        # The batched tier is timing-exact but has no numeric output:
+        # degraded, zero error.
+        degraded = tier == TIER_BATCHED
+        if accelerator.fault_state.enabled:
+            self._count("bypass")
+            report = item.run(
+                kernel, accelerator, compute_output=not degraded
+            )
+            return report, degraded, 0.0
+        config = accelerator.config
+        if config is not self._config:
+            self._config = config
+            self._config_key = repr(config)
+        key = (item.fingerprint, kernel, tier, self._config_key)
+        report = self._memo.get(key)
+        if report is None:
+            self._count("miss")
+            report = item.run(
+                kernel, accelerator, compute_output=not degraded
+            )
+            if report.output is not None:
+                report.output.setflags(write=False)
+            self._memo[key] = report
+        else:
+            self._count("hit")
+        return report, degraded, 0.0
 
     @staticmethod
     def next_lower(tier: str) -> Optional[str]:
